@@ -22,7 +22,7 @@ Evaluator::evalAddress(const Expr &ref)
         for (size_t d = 0; d < ref.children.size(); ++d) {
             const std::int64_t sub = evalExpr(*ref.children[d]).asInt();
             MPC_ASSERT(sub >= 0 && sub < ref.array->dims[d],
-                       ref.array->name.c_str());
+                       "%s subscript out of bounds", ref.array->name.c_str());
             index = index * ref.array->dims[d] + sub;
         }
         return ref.array->base + static_cast<Addr>(index) * 8;

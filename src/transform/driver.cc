@@ -12,7 +12,7 @@ applyClustering(ir::Kernel &kernel, const DriverParams &params)
     std::string error;
     const bool ok = Pipeline::parse(pipelineSpecFromParams(params),
                                     pipeline, error);
-    MPC_ASSERT(ok, error.c_str());
+    MPC_ASSERT(ok, "%s", error.c_str());
     return pipeline.run(kernel, params);
 }
 

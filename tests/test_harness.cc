@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -25,7 +26,9 @@
 #include "harness/profiler.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
+#include "system/system.hh"
 #include "transform/driver.hh"
+#include "transform/pipeline.hh"
 #include "workloads/workload.hh"
 
 namespace mpc::harness
@@ -613,6 +616,55 @@ TEST(PerRefStats, SimulatorTracksPerReferenceMisses)
             total_accesses += counts.accesses;
         });
     EXPECT_GT(total_accesses, 100u);
+}
+
+TEST(ScanWork, ClusteredMultiprocessorVisitsTrackIssueAndWake)
+{
+    // Clustered code fills the window with loads waiting on
+    // outstanding misses. Wakeup and select must not pay for waiting
+    // entries every tick: the entries a core visits stay within a small
+    // bound of the entries it issues and wakes, plus a constant per tick.
+    workloads::SizeParams tiny;
+    tiny.scale = 1;
+    const auto w = workloads::makeByName("em3d", tiny);
+    const int procs = 4;
+    const sys::SystemConfig cfg = scaleConfig(sys::baseConfig(), w);
+
+    // The runner's clustered compile: partition, then the driver
+    // pipeline, then the clustered schedule.
+    ir::Kernel kernel = w.kernel.clone();
+    std::string error;
+    transform::Pipeline partition;
+    ASSERT_TRUE(transform::Pipeline::parse("partition", partition, error))
+        << error;
+    partition.run(kernel, transform::DriverParams{});
+    const auto params = makeDriverParams(w, kernel, cfg, procs, 16);
+    transform::Pipeline driver;
+    ASSERT_TRUE(transform::Pipeline::parse(
+        transform::pipelineSpecFromParams(params), driver, error))
+        << error;
+    const auto report = driver.run(kernel, params);
+    ASSERT_FALSE(report.leadingRefIds.empty());
+    std::set<std::uint32_t> leading;
+    for (int ref_id : report.leadingRefIds)
+        leading.insert(static_cast<std::uint32_t>(ref_id));
+
+    kisa::MemoryImage image;
+    w.init(image);
+    sys::System system(cfg, codegen::lowerForCores(kernel, procs, true,
+                                                   leading),
+                       image);
+    const auto result = system.run();
+    for (int i = 0; i < procs; ++i) {
+        SCOPED_TRACE("core " + std::to_string(i));
+        const cpu::ScanWork &work = system.core(i).scanWork();
+        EXPECT_GT(work.ticks, 0u);
+        EXPECT_GE(work.issued, result.cores[static_cast<size_t>(i)].retired /
+                                   2);
+        EXPECT_LE(work.visits, 2 * (work.issued + work.woken) + work.ticks)
+            << work.visits << " visits, " << work.issued << " issued, "
+            << work.woken << " woken, " << work.ticks << " ticks";
+    }
 }
 
 TEST(PerRefStats, ProfileAgreesWithSimulatedMissRates)

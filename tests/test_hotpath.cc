@@ -3,8 +3,8 @@
  * Hot-path memory-discipline tests: the pooled Continuation type, the
  * open-addressed/dense flat maps, the predecode sidecar, and the
  * zero-allocation steady-state guarantee of the miss lifecycle
- * (alloc -> coalesce -> fill -> retire), asserted with a counting
- * global allocator.
+ * (alloc -> coalesce -> fill -> retire) and of core ticks, asserted
+ * with a counting global allocator.
  */
 
 #include <cstdlib>
@@ -17,10 +17,12 @@
 
 #include "common/continuation.hh"
 #include "common/flatmap.hh"
+#include "cpu/core.hh"
 #include "kisa/interp.hh"
 #include "kisa/program.hh"
 #include "mem/cache.hh"
 #include "mem/eventq.hh"
+#include "mem/hierarchy.hh"
 #include "mem/mainmem.hh"
 
 // ---------------------------------------------------------------------
@@ -443,6 +445,70 @@ TEST(ZeroAlloc, SteadyStateMissLifecycleNeverTouchesTheHeap)
     EXPECT_GT(cache.stats().loadMisses, 0u);
     EXPECT_GT(cache.stats().loadCoalesced, 0u);
     EXPECT_GT(cache.stats().writebacks, 0u);
+}
+
+TEST(ZeroAlloc, SteadyStateCoreTicksNeverTouchTheHeap)
+{
+    // A miss-bound loop (a 32 KB sweep through 2 KB/8 KB caches) with
+    // FP dependence chains and stores: loads wait on outstanding
+    // misses, consumers sit on producer lists, address generation goes
+    // through the wake heap, stores drain through the write buffer.
+    kisa::AsmBuilder b("sweep");
+    b.iLoadImm(3, 512);         // lines per sweep
+    b.iLoadImm(7, 0);
+    b.iLoadImm(8, 1000);        // sweeps (never reached in this test)
+    auto outer = b.newLabel();
+    auto inner = b.newLabel();
+    b.bind(outer);
+    b.iLoadImm(1, 0x100000);
+    b.iLoadImm(2, 0);
+    b.bind(inner);
+    b.ldF(3, 1, 0, 0);
+    b.ldF(4, 1, 8, 1);
+    b.fMul(5, 3, 4);
+    b.fAdd(6, 6, 5);
+    b.ldI(5, 1, 16, 2);
+    b.iAdd(6, 6, 5);
+    b.stF(1, 24, 6, 3);
+    b.iAddImm(1, 1, 64);
+    b.iAddImm(2, 2, 1);
+    b.bLt(2, 3, inner);
+    b.iAddImm(7, 7, 1);
+    b.bLt(7, 8, outer);
+    b.halt();
+    const kisa::Program program = b.finish();
+
+    mem::EventQueue eq;
+    mem::MemHierarchy::Config hc;
+    hc.l1.sizeBytes = 2 * 1024;
+    hc.l2.sizeBytes = 8 * 1024;
+    mem::MemHierarchy hier(eq, hc);
+    mem::MainMemory mm(eq, mem::MemBusConfig{}, hc.l2.lineBytes);
+    hier.setDownstream(&mm);
+    kisa::MemoryImage image;
+    cpu::Core core(0, eq, cpu::CoreConfig{}, program, image, hier, nullptr);
+
+    Tick cycle = 0;
+    auto run = [&](Tick cycles) {
+        for (Tick end = cycle + cycles; cycle < end; ++cycle) {
+            eq.advanceTo(cycle);
+            core.tick();
+        }
+    };
+    // Warm-up: two full sweeps touch every page of the functional
+    // image and size the pools, the event queue and the write buffer.
+    while (core.stats().retired < 2 * 512 * 10)
+        run(1000);
+
+    const std::uint64_t retired = core.stats().retired;
+    const std::uint64_t before = g_heapAllocs;
+    run(20000);
+    const std::uint64_t after = g_heapAllocs;
+    EXPECT_EQ(after - before, 0u)
+        << (after - before) << " heap allocations in steady-state ticks";
+    EXPECT_GT(core.stats().retired - retired, 1000u);
+    EXPECT_FALSE(core.done());
+    EXPECT_GT(hier.l2().stats().loadMisses, 0u);
 }
 
 } // namespace
