@@ -39,6 +39,15 @@ struct Band
     double minPct;  ///< conservative lower bound at test scale
 };
 
+// Without this, gtest prints a Band as its raw bytes, which include
+// the address of `name`; the listed test names (and the ctest names
+// discovered from them) would then change from run to run.
+void
+PrintTo(const Band &band, std::ostream *os)
+{
+    *os << band.name;
+}
+
 class UniSpeedups : public ::testing::TestWithParam<Band>
 {};
 
