@@ -3,6 +3,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <queue>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -82,39 +83,35 @@ struct AliasInfo
     }
 };
 
-/** Register def/use sets of one instruction. */
+/**
+ * Register def/use of one instruction as history slots: int register r
+ * is slot r and FP register r is slot numIntRegs + r, so one table
+ * serves both files and the files never alias. -1 means none.
+ */
 struct DefUse
 {
-    std::vector<Reg> intReads, fpReads;
-    Reg intWrite = kisa::noReg;
-    Reg fpWrite = kisa::noReg;
+    int reads[2] = {-1, -1};
+    int write = -1;
 };
+
+constexpr int kRegSlots = kisa::numIntRegs + kisa::numFpRegs;
 
 DefUse
 defUse(const Instr &in)
 {
+    const auto slot = [](Reg r, bool fp) {
+        return fp ? kisa::numIntRegs + r : static_cast<int>(r);
+    };
     DefUse du;
     const bool is_store = in.op == Op::StI || in.op == Op::StF;
     const bool is_branch = kisa::isBranch(in.op);
-    if (in.ra != kisa::noReg) {
-        if (kisa::srcAIsFp(in.op))
-            du.fpReads.push_back(in.ra);
-        else
-            du.intReads.push_back(in.ra);
-    }
-    if (in.rb != kisa::noReg) {
-        if (kisa::srcBIsFp(in.op))
-            du.fpReads.push_back(in.rb);
-        else
-            du.intReads.push_back(in.rb);
-    }
+    if (in.ra != kisa::noReg)
+        du.reads[0] = slot(in.ra, kisa::srcAIsFp(in.op));
+    if (in.rb != kisa::noReg)
+        du.reads[1] = slot(in.rb, kisa::srcBIsFp(in.op));
     if (in.rd != kisa::noReg && !is_store && !is_branch &&
-        in.op != Op::FlagWait) {
-        if (kisa::destIsFp(in.op))
-            du.fpWrite = in.rd;
-        else
-            du.intWrite = in.rd;
-    }
+        in.op != Op::FlagWait)
+        du.write = slot(in.rd, kisa::destIsFp(in.op));
     return du;
 }
 
@@ -293,53 +290,82 @@ class Lowerer
         }
     }
 
+    /**
+     * List-schedule the region. Edge i -> j (i < j) when j reads a
+     * register i writes (RAW), both write one (WAW), j writes a register
+     * i reads (WAR), or one is a store, the other a load or store, and
+     * AliasInfo::mayAlias holds. Each instruction finds its
+     * predecessors in per-register histories of earlier writers and
+     * readers and in the lists of earlier loads and stores; a stamp per
+     * instruction records each edge once.
+     */
     void
     scheduleAndEmit()
     {
-        const size_t n = region_.size();
+        const int n = static_cast<int>(region_.size());
         std::vector<std::vector<int>> succs(n);
         std::vector<int> preds(n, 0);
-        std::vector<DefUse> dus;
-        dus.reserve(n);
-        for (const auto &in : region_)
-            dus.push_back(defUse(in));
-        auto is_load = [this](size_t i) {
+        std::vector<int> stamp(n, -1);
+        std::vector<int> loads, stores;
+        if (regHistory_.empty())
+            regHistory_.resize(kRegSlots);
+        auto is_load = [this](int i) {
             return region_[i].op == Op::LdI || region_[i].op == Op::LdF;
         };
-        auto is_store = [this](size_t i) {
+        auto is_store = [this](int i) {
             return region_[i].op == Op::StI || region_[i].op == Op::StF;
         };
-        auto overlaps = [](const std::vector<Reg> &a, Reg w) {
-            if (w == kisa::noReg)
-                return false;
-            for (Reg r : a)
-                if (r == w)
-                    return true;
-            return false;
-        };
-        for (size_t i = 0; i < n; ++i) {
-            for (size_t j = i + 1; j < n; ++j) {
-                bool dep = false;
-                // RAW / WAW / WAR on both files.
-                dep |= overlaps(dus[j].intReads, dus[i].intWrite);
-                dep |= overlaps(dus[j].fpReads, dus[i].fpWrite);
-                dep |= dus[i].intWrite != kisa::noReg &&
-                       dus[i].intWrite == dus[j].intWrite;
-                dep |= dus[i].fpWrite != kisa::noReg &&
-                       dus[i].fpWrite == dus[j].fpWrite;
-                dep |= overlaps(dus[i].intReads, dus[j].intWrite);
-                dep |= overlaps(dus[i].fpReads, dus[j].fpWrite);
-                // Memory ordering: loads may pass loads always, and
-                // any pair of provably distinct references.
-                if (!dep && (is_store(i) || is_store(j)) &&
-                    (is_store(i) || is_load(i)) &&
-                    (is_store(j) || is_load(j))) {
-                    dep = AliasInfo::mayAlias(aliasClass_[i],
-                                              aliasClass_[j]);
-                }
-                if (dep) {
-                    succs[i].push_back(static_cast<int>(j));
-                    ++preds[j];
+        for (int j = 0; j < n; ++j) {
+            const auto depend = [&](int i) {
+                if (stamp[i] == j)
+                    return;
+                stamp[i] = j;
+                succs[i].push_back(j);
+                ++preds[j];
+            };
+            const DefUse du = defUse(region_[j]);
+            for (const int r : du.reads)
+                if (r >= 0)
+                    for (const int i : regHistory_[r].writers)
+                        depend(i);
+            if (du.write >= 0) {
+                for (const int i : regHistory_[du.write].writers)
+                    depend(i);
+                for (const int i : regHistory_[du.write].readers)
+                    depend(i);
+            }
+            // Memory ordering: loads may pass loads always, and any
+            // pair of provably distinct references.
+            if (is_load(j) || is_store(j)) {
+                for (const int i : stores)
+                    if (AliasInfo::mayAlias(aliasClass_[i], aliasClass_[j]))
+                        depend(i);
+                if (is_store(j))
+                    for (const int i : loads)
+                        if (AliasInfo::mayAlias(aliasClass_[i],
+                                                aliasClass_[j]))
+                            depend(i);
+            }
+            for (const int r : du.reads) {
+                if (r < 0)
+                    continue;
+                std::vector<int> &readers = regHistory_[r].readers;
+                if (readers.empty() || readers.back() != j)
+                    readers.push_back(j);
+            }
+            if (du.write >= 0)
+                regHistory_[du.write].writers.push_back(j);
+            if (is_load(j))
+                loads.push_back(j);
+            else if (is_store(j))
+                stores.push_back(j);
+        }
+        for (const Instr &in : region_) {
+            const DefUse du = defUse(in);
+            for (const int r : {du.reads[0], du.reads[1], du.write}) {
+                if (r >= 0) {
+                    regHistory_[r].writers.clear();
+                    regHistory_[r].readers.clear();
                 }
             }
         }
@@ -352,44 +378,44 @@ class Lowerer
         // at the top of the body, compute and stores follow. Edges
         // point forward, so original order is a topological order for
         // the backward key propagation.
-        const int big = static_cast<int>(n);
-        auto is_leading = [this](size_t i) {
+        const int big = n;
+        auto is_leading = [this](int i) {
             return opts_.leadingRefs.empty() ||
                    opts_.leadingRefs.count(region_[i].refId) != 0;
         };
         std::vector<int> key(n);
-        for (size_t i = 0; i < n; ++i) {
+        for (int i = 0; i < n; ++i) {
             if (is_load(i) && is_leading(i))
-                key[i] = static_cast<int>(i);
+                key[i] = i;
             else if (is_store(i))
-                key[i] = 2 * big + static_cast<int>(i);
+                key[i] = 2 * big + i;
             else
-                key[i] = big + static_cast<int>(i);
+                key[i] = big + i;
         }
-        for (size_t i = n; i-- > 0;) {
+        for (int i = n; i-- > 0;) {
             if ((is_load(i) && is_leading(i)) || is_store(i))
                 continue;
-            for (int s : succs[i])
-                key[i] = std::min(key[i], key[static_cast<size_t>(s)]);
+            for (const int s : succs[i])
+                key[i] = std::min(key[i], key[s]);
         }
-        auto priority = [&](size_t i) { return key[i]; };
-        std::vector<char> done(n, 0);
-        for (size_t emitted = 0; emitted < n; ++emitted) {
-            int best = -1;
-            for (size_t i = 0; i < n; ++i) {
-                if (done[i] || preds[i] != 0)
-                    continue;
-                if (best < 0 ||
-                    priority(i) < priority(static_cast<size_t>(best)))
-                    best = static_cast<int>(i);
-            }
-            MPC_ASSERT(best >= 0, "scheduler dependence cycle");
-            done[best] = 1;
-            preds[best] = -1;
-            for (int s : succs[static_cast<size_t>(best)])
-                --preds[s];
-            builder_.emit(region_[static_cast<size_t>(best)]);
+        // Lowest key first, ties to the earlier instruction.
+        using Ready = std::pair<int, int>;  // (key, index)
+        std::priority_queue<Ready, std::vector<Ready>, std::greater<>>
+            ready;
+        for (int i = 0; i < n; ++i)
+            if (preds[i] == 0)
+                ready.emplace(key[i], i);
+        int emitted = 0;
+        while (!ready.empty()) {
+            const int best = ready.top().second;
+            ready.pop();
+            for (const int s : succs[best])
+                if (--preds[s] == 0)
+                    ready.emplace(key[s], s);
+            builder_.emit(region_[best]);
+            ++emitted;
         }
+        MPC_ASSERT(emitted == n, "scheduler dependence cycle");
     }
 
     AsmBuilder::Label
@@ -1159,6 +1185,15 @@ class Lowerer
 
     std::vector<Instr> region_;
     std::vector<AliasInfo> aliasClass_;
+
+    /** The scheduler's earlier writers and readers of each register
+     *  slot (see DefUse); sized at the first scheduled region and
+     *  emptied after every region. */
+    struct RegHistory
+    {
+        std::vector<int> writers, readers;
+    };
+    std::vector<RegHistory> regHistory_;
 
     int nextInt_ = 1;
     int nextFp_ = 0;
