@@ -1,5 +1,7 @@
 #include "ir/kernel.hh"
 
+#include <algorithm>
+#include <bit>
 #include <functional>
 #include <sstream>
 
@@ -382,6 +384,118 @@ Kernel::clone() const
         });
     }
     return copy;
+}
+
+namespace
+{
+
+// Adding a field to these structs changes their size: extend
+// KernelEquality to compare it, then update the size here.
+#if defined(__GLIBCXX__) && __SIZEOF_POINTER__ == 8
+static_assert(sizeof(Array) == 72, "Array changed: update KernelEquality");
+static_assert(sizeof(Expr) == 104, "Expr changed: update KernelEquality");
+static_assert(sizeof(Stmt) == 120, "Stmt changed: update KernelEquality");
+static_assert(sizeof(Kernel) == 184,
+              "Kernel changed: update KernelEquality");
+#endif
+
+/** operator==(Kernel, Kernel), field by field. */
+struct KernelEquality
+{
+    const Kernel &ka, &kb;
+
+    static int
+    arrayIndex(const Kernel &k, const Array *array)
+    {
+        int index = 0;
+        for (const Array &a : k.arrays) {
+            if (&a == array)
+                return index;
+            ++index;
+        }
+        return -1;
+    }
+
+    /** Owned arrays match by position; null or foreign pointers only
+     *  match themselves. */
+    bool
+    sameArray(const Array *a, const Array *b) const
+    {
+        const int ia = a == nullptr ? -1 : arrayIndex(ka, a);
+        const int ib = b == nullptr ? -1 : arrayIndex(kb, b);
+        return ia < 0 || ib < 0 ? ia == ib && a == b : ia == ib;
+    }
+
+    static bool
+    equal(const Array &a, const Array &b)
+    {
+        return a.name == b.name && a.elem == b.elem && a.dims == b.dims &&
+               a.base == b.base;
+    }
+
+    bool
+    equal(const ExprPtr &a, const ExprPtr &b) const
+    {
+        if (a == nullptr || b == nullptr)
+            return a == b;
+        if (a->kind != b->kind || a->ival != b->ival ||
+            std::bit_cast<std::uint64_t>(a->fval) !=
+                std::bit_cast<std::uint64_t>(b->fval) ||
+            a->var != b->var || !sameArray(a->array, b->array) ||
+            a->bop != b->bop || a->uop != b->uop || a->vtype != b->vtype ||
+            a->refId != b->refId ||
+            a->children.size() != b->children.size())
+            return false;
+        for (size_t i = 0; i < a->children.size(); ++i)
+            if (!equal(a->children[i], b->children[i]))
+                return false;
+        return true;
+    }
+
+    bool
+    equal(const std::vector<StmtPtr> &a,
+          const std::vector<StmtPtr> &b) const
+    {
+        if (a.size() != b.size())
+            return false;
+        for (size_t i = 0; i < a.size(); ++i)
+            if (!equal(a[i], b[i]))
+                return false;
+        return true;
+    }
+
+    bool
+    equal(const StmtPtr &a, const StmtPtr &b) const
+    {
+        if (a == nullptr || b == nullptr)
+            return a == b;
+        return a->kind == b->kind && equal(a->lhs, b->lhs) &&
+               equal(a->rhs, b->rhs) && a->var == b->var &&
+               equal(a->lo, b->lo) && equal(a->hi, b->hi) &&
+               a->step == b->step && equal(a->body, b->body) &&
+               a->parallel == b->parallel && a->mark == b->mark &&
+               a->prePartitioned == b->prePartitioned;
+    }
+
+    bool
+    equal() const
+    {
+        return ka.name == kb.name &&
+               std::equal(ka.arrays.begin(), ka.arrays.end(),
+                          kb.arrays.begin(), kb.arrays.end(),
+                          [](const Array &a, const Array &b) {
+                              return equal(a, b);
+                          }) &&
+               ka.scalars == kb.scalars && equal(ka.body, kb.body);
+    }
+};
+
+} // namespace
+
+bool
+operator==(const Kernel &a, const Kernel &b)
+{
+    return KernelEquality{a, b}.equal();
 }
 
 std::string

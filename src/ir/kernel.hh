@@ -228,6 +228,16 @@ struct Kernel
 };
 
 /**
+ * Full structural equality: every field that layout, memory init,
+ * lowering, execution and checksumArrays read. That is the name, the
+ * arrays (name, elem, dims, base), the scalars, and every Stmt and Expr
+ * field, refId, vtype, parallel, prePartitioned and mark included.
+ * Array pointers compare by their index in each kernel's array list,
+ * doubles by their bits. A kernel compares equal to its clone().
+ */
+bool operator==(const Kernel &a, const Kernel &b);
+
+/**
  * Assign stable refIds to memory references that do not have one yet
  * (preorder). @return the number of distinct ids in the kernel.
  */

@@ -26,18 +26,22 @@
  *
  * Verification (MPC_VERIFY_PASSES=1, or VerifyMode set explicitly):
  * after every pass the pipeline runs the ir::verify() structural
- * checker and — when the kernel is evaluable — a functional
- * equivalence check against the pre-pipeline kernel: the kernel is
- * cloned, memory is initialized (through Pipeline::initMemory or a
- * deterministic synthetic fill), the kernel is lowered and executed
- * on the KISA tier selected by MPC_EXEC_TIER (kernels containing
- * FlagWait fall back to the IR evaluator, whose sequential semantics
- * treat waits as no-ops), and the array checksum must match the
- * pre-pipeline checksum — both sides always from the same engine. Since
- * every pass must be semantics-preserving, comparing each post-pass
- * checksum to the pipeline-input checksum names the first failing
- * pass. On failure the offending IR is dumped (MPC_VERIFY_DUMP, or
- * verify_ir_dump.txt) and the run panics naming the pass.
+ * checker and — when the kernel is evaluable — after every pass that
+ * changed the kernel a functional equivalence check against the
+ * pre-pipeline kernel; an unchanged kernel keeps the last checksum.
+ * "Changed" means unequal under ir::Kernel's full structural equality
+ * to a clone of the last kernel executed; the passes' own action
+ * counts are not trusted. The check clones the kernel, initializes
+ * memory (through Pipeline::initMemory or a deterministic synthetic
+ * fill), lowers the kernel and executes it on the KISA tier selected
+ * by MPC_EXEC_TIER (kernels containing FlagWait fall back to the IR
+ * evaluator, whose sequential semantics treat waits as no-ops), and
+ * the array checksum must match the pre-pipeline checksum — both
+ * sides always from the same engine. Since every pass must be
+ * semantics-preserving, comparing each post-pass checksum to the
+ * pipeline-input checksum names the first failing pass. On failure
+ * the offending IR is dumped (MPC_VERIFY_DUMP, or verify_ir_dump.txt)
+ * and the run panics naming the pass.
  */
 
 #ifndef MPC_TRANSFORM_PIPELINE_HH

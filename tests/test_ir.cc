@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "ir/eval.hh"
 #include "ir/kernel.hh"
 
@@ -99,6 +101,190 @@ TEST(Kernel, CloneIsDeepAndRemapsArrays)
     });
     EXPECT_NE(c.findArray("A"), k.findArray("A"));
     EXPECT_EQ(c.findArray("A")->base, k.findArray("A")->base);
+}
+
+/** Subscript list builder. */
+template <typename... Exprs>
+std::vector<ExprPtr>
+subsOf(Exprs... exprs)
+{
+    std::vector<ExprPtr> v;
+    (v.push_back(std::move(exprs)), ...);
+    return v;
+}
+
+/** A kernel with every statement kind and every Expr/Stmt field set to
+ *  something other than its default somewhere. */
+Kernel
+everyNode()
+{
+    Kernel k;
+    k.name = "every";
+    Array *a = k.addArray("A", ScalType::F64, {8, 8});
+    Array *b = k.addArray("B", ScalType::I64, {8});
+    k.declareScalar("s", ScalType::F64);
+    std::vector<StmtPtr> inner;
+    inner.push_back(assign(
+        aref(a, subsOf(varref("j"), varref("i"))),
+        add(un(UnOp::Sqrt, aref(a, subsOf(varref("j"), varref("i")))),
+            fconst(1.5))));
+    inner.push_back(prefetch(aref(b, subsOf(varref("i")))));
+    std::vector<StmtPtr> outer;
+    outer.push_back(
+        forLoop("i", iconst(0), iconst(8), std::move(inner), 2));
+    k.body.push_back(forLoop("j", iconst(0), iconst(8), std::move(outer),
+                             1, true));
+    k.body[0]->mark = 3;
+    k.body[0]->prePartitioned = true;
+    std::vector<StmtPtr> chase;
+    chase.push_back(
+        assign(varref("s"), deref(varref("p"), 8, ScalType::F64)));
+    k.body.push_back(
+        ptrLoop("p", aref(b, subsOf(iconst(0))), 16, std::move(chase)));
+    k.body.push_back(whileLoop(varref("s"), {}));
+    k.body.push_back(barrier());
+    k.body.push_back(flagSet(aref(b, subsOf(iconst(1))), iconst(1)));
+    k.body.push_back(flagWait(aref(b, subsOf(iconst(1))), iconst(1)));
+    assignRefIds(k);
+    layoutArrays(k);
+    return k;
+}
+
+Expr &
+firstExpr(Kernel &k, Expr::Kind kind)
+{
+    Expr *found = nullptr;
+    for (auto &stmt : k.body)
+        walkExprs(*stmt, [&](Expr &e) {
+            if (found == nullptr && e.kind == kind)
+                found = &e;
+        });
+    EXPECT_NE(found, nullptr);
+    return *found;
+}
+
+Stmt &
+firstStmt(Kernel &k, Stmt::Kind kind)
+{
+    Stmt *found = nullptr;
+    for (auto &stmt : k.body)
+        walkStmts(*stmt, [&](Stmt &s) {
+            if (found == nullptr && s.kind == kind)
+                found = &s;
+        });
+    EXPECT_NE(found, nullptr);
+    return *found;
+}
+
+TEST(KernelEquality, CloneComparesEqual)
+{
+    const Kernel k = everyNode();
+    const Kernel c = k.clone();
+    EXPECT_TRUE(k == c);
+    EXPECT_TRUE(c == k);
+    EXPECT_TRUE(k == k);
+    // Array pointers differ between the two; they match by position.
+    EXPECT_NE(c.findArray("A"), k.findArray("A"));
+}
+
+TEST(KernelEquality, AnySingleFieldChangeComparesUnequal)
+{
+    const Kernel k = everyNode();
+    using Mutation = std::pair<const char *, std::function<void(Kernel &)>>;
+    const std::vector<Mutation> mutations = {
+        // Array
+        {"array name", [](Kernel &c) { c.arrays[0].name = "Z"; }},
+        {"array elem", [](Kernel &c) { c.arrays[0].elem = ScalType::I64; }},
+        {"array dim", [](Kernel &c) { c.arrays[0].dims[1] = 9; }},
+        {"array rank", [](Kernel &c) { c.arrays[1].dims.push_back(1); }},
+        {"array base", [](Kernel &c) { c.arrays[1].base += 64; }},
+        // Kernel
+        {"kernel name", [](Kernel &c) { c.name = "other"; }},
+        {"extra array",
+         [](Kernel &c) { c.addArray("C", ScalType::F64, {4}); }},
+        {"extra scalar",
+         [](Kernel &c) { c.declareScalar("t", ScalType::I64); }},
+        {"scalar type",
+         [](Kernel &c) { c.scalars["s"] = ScalType::I64; }},
+        {"extra statement", [](Kernel &c) { c.body.push_back(barrier()); }},
+        // Stmt
+        {"stmt kind",
+         [](Kernel &c) {
+             firstStmt(c, Stmt::Kind::Barrier).kind = Stmt::Kind::FlagSet;
+         }},
+        {"stmt lhs",
+         [](Kernel &c) {
+             firstStmt(c, Stmt::Kind::Assign).lhs = varref("s");
+         }},
+        {"stmt rhs",
+         [](Kernel &c) {
+             firstStmt(c, Stmt::Kind::Assign).rhs = fconst(1.5);
+         }},
+        {"stmt lhs null",
+         [](Kernel &c) { firstStmt(c, Stmt::Kind::Assign).lhs.reset(); }},
+        {"stmt var",
+         [](Kernel &c) { firstStmt(c, Stmt::Kind::PtrLoop).var = "q"; }},
+        {"stmt lo", [](Kernel &c) { c.body[0]->lo = iconst(1); }},
+        {"stmt hi", [](Kernel &c) { c.body[0]->hi = iconst(7); }},
+        {"stmt step", [](Kernel &c) { c.body[0]->step = 2; }},
+        {"stmt body",
+         [](Kernel &c) { c.body[0]->body.push_back(barrier()); }},
+        {"stmt parallel", [](Kernel &c) { c.body[0]->parallel = false; }},
+        {"stmt mark", [](Kernel &c) { c.body[0]->mark = 0; }},
+        {"stmt prePartitioned",
+         [](Kernel &c) { c.body[0]->prePartitioned = false; }},
+        // Expr
+        {"expr kind",
+         [](Kernel &c) {
+             firstExpr(c, Expr::Kind::IntConst).kind =
+                 Expr::Kind::FloatConst;
+         }},
+        {"expr ival",
+         [](Kernel &c) { firstExpr(c, Expr::Kind::IntConst).ival = 5; }},
+        {"expr fval",
+         [](Kernel &c) { firstExpr(c, Expr::Kind::FloatConst).fval = 2; }},
+        {"expr fval sign of zero",
+         [](Kernel &c) {
+             Expr &e = firstExpr(c, Expr::Kind::IntConst);
+             e.fval = -0.0;
+         }},
+        {"expr var",
+         [](Kernel &c) { firstExpr(c, Expr::Kind::VarRef).var = "x"; }},
+        {"expr array",
+         [](Kernel &c) {
+             firstExpr(c, Expr::Kind::ArrayRef).array = &c.arrays[1];
+         }},
+        {"expr foreign array",
+         [](Kernel &c) {
+             static const Array foreign{"A", ScalType::F64, {8, 8}, 0};
+             firstExpr(c, Expr::Kind::ArrayRef).array = &foreign;
+         }},
+        {"expr bop",
+         [](Kernel &c) {
+             firstExpr(c, Expr::Kind::Bin).bop = BinOp::Sub;
+         }},
+        {"expr uop",
+         [](Kernel &c) { firstExpr(c, Expr::Kind::Un).uop = UnOp::Abs; }},
+        {"expr children",
+         [](Kernel &c) {
+             firstExpr(c, Expr::Kind::Un).children.push_back(iconst(0));
+         }},
+        {"expr vtype",
+         [](Kernel &c) {
+             Expr &e = firstExpr(c, Expr::Kind::Deref);
+             e.vtype = e.vtype == ScalType::I64 ? ScalType::F64
+                                                : ScalType::I64;
+         }},
+        {"expr refId",
+         [](Kernel &c) { firstExpr(c, Expr::Kind::ArrayRef).refId += 40; }},
+    };
+    for (const auto &[what, mutate] : mutations) {
+        SCOPED_TRACE(what);
+        Kernel c = k.clone();
+        mutate(c);
+        EXPECT_FALSE(k == c);
+        EXPECT_FALSE(c == k);
+    }
 }
 
 TEST(Kernel, LayoutAlignsAndSeparates)

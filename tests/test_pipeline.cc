@@ -756,5 +756,135 @@ TEST(FaultInjectionDeathTest, PanicModeNamesTheFailingPass)
         "evil-truncate");
 }
 
+// ---------------------------------------------------------------------
+// Check reuse: the equivalence check executes a kernel only when it
+// differs from the last one it executed, whatever the passes report.
+// ---------------------------------------------------------------------
+
+/** Changes nothing, but reports actions. */
+class IdlePass : public Pass
+{
+  public:
+    const char *name() const override { return "idle-claims-actions"; }
+
+    void
+    run(ir::Kernel &, PassContext &, PassReport &pr) const override
+    {
+        pr.actions += 3;
+    }
+};
+
+/** Changes the kernel (a loop mark) without reporting an action. */
+class QuietMarkPass : public Pass
+{
+  public:
+    const char *name() const override { return "quiet-mark"; }
+
+    void
+    run(ir::Kernel &kernel, PassContext &, PassReport &) const override
+    {
+        kernel.body[0]->mark = 7;
+    }
+};
+
+/** Drops the last iteration of the first loop and reports nothing. */
+class QuietTruncatePass : public Pass
+{
+  public:
+    const char *name() const override { return "quiet-truncate"; }
+
+    void
+    run(ir::Kernel &kernel, PassContext &, PassReport &) const override
+    {
+        kernel.body[0]->hi = iconst(kernel.body[0]->hi->ival - 1);
+    }
+};
+
+void
+registerReusePasses()
+{
+    static bool once = [] {
+        PassRegistry::instance().add(std::make_unique<IdlePass>());
+        PassRegistry::instance().add(std::make_unique<QuietMarkPass>());
+        PassRegistry::instance().add(
+            std::make_unique<QuietTruncatePass>());
+        return true;
+    }();
+    (void)once;
+}
+
+/** A verified run of @p spec on twinSweeps; counts Pipeline::initMemory
+ *  calls, one per functional execution. */
+struct CountedRun
+{
+    PipelineReport report;
+    int executions = 0;
+    int changedPasses = 0;  ///< passes whose output differs from input
+};
+
+CountedRun
+runCounted(const std::string &spec)
+{
+    registerReusePasses();
+    CountedRun out;
+    Kernel k = twinSweeps(32);
+    const Kernel layout = k.clone();
+    Pipeline pipeline;
+    std::string error;
+    EXPECT_TRUE(Pipeline::parse(spec, pipeline, error)) << error;
+    pipeline.verifyMode = VerifyMode::Record;
+    pipeline.initMemory = [&](kisa::MemoryImage &mem) {
+        ++out.executions;
+        ir::fillArraysSynthetic(layout, mem);
+    };
+    assignRefIds(k);
+    Kernel previous = k.clone();
+    pipeline.afterPass = [&](const std::string &, const Kernel &after) {
+        out.changedPasses += after == previous ? 0 : 1;
+        previous = after.clone();
+    };
+    out.report = pipeline.run(k, DriverParams{});
+    return out;
+}
+
+TEST(CheckReuse, UnchangedKernelIsNotExecutedAgain)
+{
+    const CountedRun run = runCounted("idle-claims-actions");
+    EXPECT_TRUE(run.report.verifyFailures.empty());
+    EXPECT_EQ(run.report.passes[0].actions, 3);
+    EXPECT_EQ(run.executions, 1);  // the reference only
+}
+
+TEST(CheckReuse, ChangedKernelIsExecutedOnce)
+{
+    const CountedRun run = runCounted("quiet-mark");
+    EXPECT_TRUE(run.report.verifyFailures.empty());
+    EXPECT_EQ(run.report.passes[0].actions, 0);
+    EXPECT_EQ(run.executions, 2);
+    // The idle pass after it leaves the marked kernel as it was.
+    EXPECT_EQ(runCounted("quiet-mark,idle-claims-actions").executions, 2);
+    EXPECT_EQ(runCounted("idle-claims-actions,quiet-mark").executions, 2);
+}
+
+TEST(CheckReuse, ChangeReportedAsNoActionIsStillChecked)
+{
+    const CountedRun run = runCounted("idle-claims-actions,quiet-truncate");
+    ASSERT_EQ(run.report.verifyFailures.size(), 1u);
+    EXPECT_EQ(run.report.verifyFailures[0].pass, "quiet-truncate");
+    EXPECT_NE(run.report.verifyFailures[0].what.find("equivalence"),
+              std::string::npos);
+    EXPECT_EQ(run.executions, 2);
+}
+
+TEST(CheckReuse, OneExecutionPerChangingPass)
+{
+    const CountedRun run = runCounted(defaultPipelineSpec() + ",prefetch");
+    EXPECT_TRUE(run.report.verifyFailures.empty());
+    EXPECT_GT(run.changedPasses, 0);
+    EXPECT_LT(run.changedPasses,
+              static_cast<int>(run.report.passes.size()));
+    EXPECT_EQ(run.executions, 1 + run.changedPasses);
+}
+
 } // namespace
 } // namespace mpc::transform
