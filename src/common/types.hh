@@ -70,6 +70,43 @@ log2Floor(std::uint64_t value)
     return result;
 }
 
+// Two's-complement int64 arithmetic for the KISA tiers and the IR
+// evaluator: signed overflow is undefined behaviour in C++, so these
+// compute through uint64_t and wrap. Division by zero yields 0, and
+// INT64_MIN / -1 yields INT64_MIN (the wrapped quotient, remainder 0).
+constexpr std::int64_t
+wrapAdd(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                     static_cast<std::uint64_t>(b));
+}
+
+constexpr std::int64_t
+wrapSub(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                     static_cast<std::uint64_t>(b));
+}
+
+constexpr std::int64_t
+wrapMul(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                     static_cast<std::uint64_t>(b));
+}
+
+constexpr std::int64_t
+wrapDiv(std::int64_t a, std::int64_t b)
+{
+    return b == 0 ? 0 : b == -1 ? wrapSub(0, a) : a / b;
+}
+
+constexpr std::int64_t
+wrapRem(std::int64_t a, std::int64_t b)
+{
+    return b == 0 || b == -1 ? 0 : a % b;
+}
+
 } // namespace mpc
 
 #endif // MPC_COMMON_TYPES_HH

@@ -725,7 +725,7 @@ Core::doDispatch(Tick now)
             const kisa::Instr &in = *blocked.instr;
             if (in.op == Op::FlagWait) {
                 const Addr addr = static_cast<Addr>(
-                    regs_.intRegs[in.ra] + in.imm);
+                    wrapAdd(regs_.intRegs[in.ra], in.imm));
                 const auto value =
                     static_cast<std::int64_t>(mem_.ld64(addr));
                 if (value < regs_.intRegs[in.rb])

@@ -91,11 +91,11 @@ Evaluator::evalExpr(const Expr &expr)
         } else {
             const std::int64_t x = a.i, y = b.i;
             switch (expr.bop) {
-              case BinOp::Add: v.i = x + y; break;
-              case BinOp::Sub: v.i = x - y; break;
-              case BinOp::Mul: v.i = x * y; break;
-              case BinOp::Div: v.i = y != 0 ? x / y : 0; break;
-              case BinOp::Mod: v.i = y != 0 ? x % y : 0; break;
+              case BinOp::Add: v.i = wrapAdd(x, y); break;
+              case BinOp::Sub: v.i = wrapSub(x, y); break;
+              case BinOp::Mul: v.i = wrapMul(x, y); break;
+              case BinOp::Div: v.i = wrapDiv(x, y); break;
+              case BinOp::Mod: v.i = wrapRem(x, y); break;
               case BinOp::Min: v.i = std::min(x, y); break;
               case BinOp::Max: v.i = std::max(x, y); break;
             }
@@ -110,7 +110,7 @@ Evaluator::evalExpr(const Expr &expr)
                 v.isFp = true;
                 v.f = -a.f;
             } else {
-                v.i = -a.i;
+                v.i = wrapSub(0, a.i);
             }
             return v;
           case UnOp::Sqrt:

@@ -431,31 +431,29 @@ ThreadedExecutor::runCore(CoreState &core, Hook &hook, int core_idx,
         MPC_EXEC_NEXT();
 
     MPC_EXEC_OP(IAdd)
-        ir[rec->rd] = ir[rec->ra] + ir[rec->rb];
+        ir[rec->rd] = wrapAdd(ir[rec->ra], ir[rec->rb]);
         MPC_EXEC_RETIRE();
         ++rec;
         MPC_EXEC_NEXT();
     MPC_EXEC_OP(ISub)
-        ir[rec->rd] = ir[rec->ra] - ir[rec->rb];
+        ir[rec->rd] = wrapSub(ir[rec->ra], ir[rec->rb]);
         MPC_EXEC_RETIRE();
         ++rec;
         MPC_EXEC_NEXT();
     MPC_EXEC_OP(IMul)
-        ir[rec->rd] = ir[rec->ra] * ir[rec->rb];
+        ir[rec->rd] = wrapMul(ir[rec->ra], ir[rec->rb]);
         MPC_EXEC_RETIRE();
         ++rec;
         MPC_EXEC_NEXT();
     MPC_EXEC_OP(IDiv)
-        ir[rec->rd] = rec->rb != noReg && ir[rec->rb] != 0
-                          ? ir[rec->ra] / ir[rec->rb]
-                          : 0;
+        ir[rec->rd] =
+            rec->rb != noReg ? wrapDiv(ir[rec->ra], ir[rec->rb]) : 0;
         MPC_EXEC_RETIRE();
         ++rec;
         MPC_EXEC_NEXT();
     MPC_EXEC_OP(IRem)
-        ir[rec->rd] = rec->rb != noReg && ir[rec->rb] != 0
-                          ? ir[rec->ra] % ir[rec->rb]
-                          : 0;
+        ir[rec->rd] =
+            rec->rb != noReg ? wrapRem(ir[rec->ra], ir[rec->rb]) : 0;
         MPC_EXEC_RETIRE();
         ++rec;
         MPC_EXEC_NEXT();
@@ -508,12 +506,12 @@ ThreadedExecutor::runCore(CoreState &core, Hook &hook, int core_idx,
         MPC_EXEC_NEXT();
 
     MPC_EXEC_OP(IAddImm)
-        ir[rec->rd] = ir[rec->ra] + rec->imm;
+        ir[rec->rd] = wrapAdd(ir[rec->ra], rec->imm);
         MPC_EXEC_RETIRE();
         ++rec;
         MPC_EXEC_NEXT();
     MPC_EXEC_OP(IMulImm)
-        ir[rec->rd] = ir[rec->ra] * rec->imm;
+        ir[rec->rd] = wrapMul(ir[rec->ra], rec->imm);
         MPC_EXEC_RETIRE();
         ++rec;
         MPC_EXEC_NEXT();
@@ -603,14 +601,14 @@ ThreadedExecutor::runCore(CoreState &core, Hook &hook, int core_idx,
 
     MPC_EXEC_OP(Prefetch) {
         // Nonbinding: reported as a load, no architectural effect.
-        const Addr addr = static_cast<Addr>(ir[rec->ra] + rec->imm);
+        const Addr addr = static_cast<Addr>(wrapAdd(ir[rec->ra], rec->imm));
         MPC_EXEC_RETIRE();
         hook(core_idx, src[rec->pc], addr, true);
         ++rec;
         MPC_EXEC_NEXT();
     }
     MPC_EXEC_OP(LdI) {
-        const Addr addr = static_cast<Addr>(ir[rec->ra] + rec->imm);
+        const Addr addr = static_cast<Addr>(wrapAdd(ir[rec->ra], rec->imm));
         ir[rec->rd] = static_cast<std::int64_t>(*wordPtr(addr));
         MPC_EXEC_RETIRE();
         hook(core_idx, src[rec->pc], addr, true);
@@ -618,7 +616,7 @@ ThreadedExecutor::runCore(CoreState &core, Hook &hook, int core_idx,
         MPC_EXEC_NEXT();
     }
     MPC_EXEC_OP(LdF) {
-        const Addr addr = static_cast<Addr>(ir[rec->ra] + rec->imm);
+        const Addr addr = static_cast<Addr>(wrapAdd(ir[rec->ra], rec->imm));
         fr[rec->rd] = std::bit_cast<double>(*wordPtr(addr));
         MPC_EXEC_RETIRE();
         hook(core_idx, src[rec->pc], addr, true);
@@ -626,7 +624,7 @@ ThreadedExecutor::runCore(CoreState &core, Hook &hook, int core_idx,
         MPC_EXEC_NEXT();
     }
     MPC_EXEC_OP(StI) {
-        const Addr addr = static_cast<Addr>(ir[rec->ra] + rec->imm);
+        const Addr addr = static_cast<Addr>(wrapAdd(ir[rec->ra], rec->imm));
         *wordPtr(addr) = static_cast<std::uint64_t>(ir[rec->rb]);
         MPC_EXEC_RETIRE();
         hook(core_idx, src[rec->pc], addr, false);
@@ -634,7 +632,7 @@ ThreadedExecutor::runCore(CoreState &core, Hook &hook, int core_idx,
         MPC_EXEC_NEXT();
     }
     MPC_EXEC_OP(StF) {
-        const Addr addr = static_cast<Addr>(ir[rec->ra] + rec->imm);
+        const Addr addr = static_cast<Addr>(wrapAdd(ir[rec->ra], rec->imm));
         *wordPtr(addr) = std::bit_cast<std::uint64_t>(fr[rec->rb]);
         MPC_EXEC_RETIRE();
         hook(core_idx, src[rec->pc], addr, false);
@@ -673,7 +671,7 @@ ThreadedExecutor::runCore(CoreState &core, Hook &hook, int core_idx,
         core.pc = rec->pc + 1;
         MPC_EXEC_LEAVE(Exit::Barrier);
     MPC_EXEC_OP(FlagWait) {
-        const Addr addr = static_cast<Addr>(ir[rec->ra] + rec->imm);
+        const Addr addr = static_cast<Addr>(wrapAdd(ir[rec->ra], rec->imm));
         if (static_cast<std::int64_t>(*wordPtr(addr)) < ir[rec->rb]) {
             // Condition unsatisfied: does not count as an executed
             // instruction; pc holds (the interpreter's semantics).
@@ -725,7 +723,7 @@ ThreadedExecutor::runCore(CoreState &core, Hook &hook, int core_idx,
     MPC_EXEC_FUSED(ShlAdd, detail::fusedShlAdd) {
         const detail::OpRec *const r1 = rec + 1;
         ir[rec->rd] = ir[rec->ra] << (rec->imm & 63);
-        ir[r1->rd] = ir[r1->ra] + ir[r1->rb];
+        ir[r1->rd] = wrapAdd(ir[r1->ra], ir[r1->rb]);
         MPC_EXEC_RETIRE_N(2);
         rec += 2;
         MPC_EXEC_NEXT();
@@ -734,8 +732,8 @@ ThreadedExecutor::runCore(CoreState &core, Hook &hook, int core_idx,
         const detail::OpRec *const r1 = rec + 1;
         const detail::OpRec *const r2 = rec + 2;
         ir[rec->rd] = ir[rec->ra] << (rec->imm & 63);
-        ir[r1->rd] = ir[r1->ra] + ir[r1->rb];
-        const Addr addr = static_cast<Addr>(ir[r2->ra] + r2->imm);
+        ir[r1->rd] = wrapAdd(ir[r1->ra], ir[r1->rb]);
+        const Addr addr = static_cast<Addr>(wrapAdd(ir[r2->ra], r2->imm));
         ir[r2->rd] = static_cast<std::int64_t>(*wordPtr(addr));
         MPC_EXEC_RETIRE_N(3);
         hook(core_idx, src[r2->pc], addr, true);
@@ -746,8 +744,8 @@ ThreadedExecutor::runCore(CoreState &core, Hook &hook, int core_idx,
         const detail::OpRec *const r1 = rec + 1;
         const detail::OpRec *const r2 = rec + 2;
         ir[rec->rd] = ir[rec->ra] << (rec->imm & 63);
-        ir[r1->rd] = ir[r1->ra] + ir[r1->rb];
-        const Addr addr = static_cast<Addr>(ir[r2->ra] + r2->imm);
+        ir[r1->rd] = wrapAdd(ir[r1->ra], ir[r1->rb]);
+        const Addr addr = static_cast<Addr>(wrapAdd(ir[r2->ra], r2->imm));
         fr[r2->rd] = std::bit_cast<double>(*wordPtr(addr));
         MPC_EXEC_RETIRE_N(3);
         hook(core_idx, src[r2->pc], addr, true);
@@ -758,8 +756,8 @@ ThreadedExecutor::runCore(CoreState &core, Hook &hook, int core_idx,
         const detail::OpRec *const r1 = rec + 1;
         const detail::OpRec *const r2 = rec + 2;
         ir[rec->rd] = ir[rec->ra] << (rec->imm & 63);
-        ir[r1->rd] = ir[r1->ra] + ir[r1->rb];
-        const Addr addr = static_cast<Addr>(ir[r2->ra] + r2->imm);
+        ir[r1->rd] = wrapAdd(ir[r1->ra], ir[r1->rb]);
+        const Addr addr = static_cast<Addr>(wrapAdd(ir[r2->ra], r2->imm));
         *wordPtr(addr) = static_cast<std::uint64_t>(ir[r2->rb]);
         MPC_EXEC_RETIRE_N(3);
         hook(core_idx, src[r2->pc], addr, false);
@@ -770,8 +768,8 @@ ThreadedExecutor::runCore(CoreState &core, Hook &hook, int core_idx,
         const detail::OpRec *const r1 = rec + 1;
         const detail::OpRec *const r2 = rec + 2;
         ir[rec->rd] = ir[rec->ra] << (rec->imm & 63);
-        ir[r1->rd] = ir[r1->ra] + ir[r1->rb];
-        const Addr addr = static_cast<Addr>(ir[r2->ra] + r2->imm);
+        ir[r1->rd] = wrapAdd(ir[r1->ra], ir[r1->rb]);
+        const Addr addr = static_cast<Addr>(wrapAdd(ir[r2->ra], r2->imm));
         *wordPtr(addr) = std::bit_cast<std::uint64_t>(fr[r2->rb]);
         MPC_EXEC_RETIRE_N(3);
         hook(core_idx, src[r2->pc], addr, false);
@@ -780,7 +778,7 @@ ThreadedExecutor::runCore(CoreState &core, Hook &hook, int core_idx,
     }
     MPC_EXEC_FUSED(AddImmBLt, detail::fusedAddImmBLt) {
         const detail::OpRec *const r1 = rec + 1;
-        ir[rec->rd] = ir[rec->ra] + rec->imm;
+        ir[rec->rd] = wrapAdd(ir[rec->ra], rec->imm);
         rec = ir[r1->ra] < ir[r1->rb] ? base + r1->target : rec + 2;
         MPC_EXEC_RETIRE_N(2);
         MPC_EXEC_CHECK();

@@ -9,10 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "codegen/codegen.hh"
 #include "common/rng.hh"
 #include "ir/eval.hh"
 #include "ir/kernel.hh"
+#include "kisa/exec_threaded.hh"
 #include "kisa/interp.hh"
 #include "system/system.hh"
 #include "transform/driver.hh"
@@ -103,6 +106,112 @@ expectLoweringCorrect(const Kernel &k, const CodegenOptions &options = {})
 
     EXPECT_EQ(checksumArrays(k, m_ir), checksumArrays(k, m_prog))
         << k.toString() << "\n" << program.disassemble();
+}
+
+// ---------------------------------------------------------------------
+// Integer arithmetic wraps as two's complement on every engine.
+// ---------------------------------------------------------------------
+
+constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+
+constexpr kisa::ExecTier kTiers[] = {kisa::ExecTier::Interp,
+                                     kisa::ExecTier::Threaded};
+
+TEST(IntegerWrap, EvaluatorAndBothTiersAgreeOnWrappedValues)
+{
+    // Operand pairs at the overflow and division boundaries.
+    const std::vector<std::pair<std::int64_t, std::int64_t>> pairs = {
+        {kMax, 1}, {kMin, -1}, {kMin, 0},   {kMin, 1},
+        {std::int64_t(1) << 62, 4}, {-7, 2}, {5, -3}, {kMax, kMax}};
+    const auto n = static_cast<std::int64_t>(pairs.size());
+    Kernel k;
+    k.name = "wrap";
+    Array *x = k.addArray("X", ScalType::I64, {n});
+    Array *y = k.addArray("Y", ScalType::I64, {n});
+    std::vector<StmtPtr> body;
+    const auto def = [&](const char *name, ExprPtr value) {
+        Array *out = k.addArray(name, ScalType::I64, {n});
+        body.push_back(assign(aref(out, subs1(varref("i"))),
+                              std::move(value)));
+    };
+    const auto xi = [&] { return aref(x, subs1(varref("i"))); };
+    const auto yi = [&] { return aref(y, subs1(varref("i"))); };
+    def("S", add(xi(), yi()));
+    def("D", sub(xi(), yi()));
+    def("P", mul(xi(), yi()));
+    def("Q", divx(xi(), yi()));
+    def("R", modx(xi(), yi()));
+    def("N", un(UnOp::Neg, xi()));
+    k.body.push_back(forLoop("i", iconst(0), iconst(n), std::move(body)));
+    assignRefIds(k);
+    layoutArrays(k);
+    const auto init = [&](kisa::MemoryImage &mem) {
+        for (std::int64_t i = 0; i < n; ++i) {
+            mem.st64(x->base + Addr(i) * 8,
+                     static_cast<std::uint64_t>(pairs[i].first));
+            mem.st64(y->base + Addr(i) * 8,
+                     static_cast<std::uint64_t>(pairs[i].second));
+        }
+    };
+
+    kisa::MemoryImage m_eval;
+    init(m_eval);
+    Evaluator(k, m_eval).run();
+    const auto at = [&](const char *name, std::int64_t i) {
+        return static_cast<std::int64_t>(
+            m_eval.ld64(k.findArray(name)->base + Addr(i) * 8));
+    };
+    EXPECT_EQ(at("S", 0), kMin);   // kMax + 1
+    EXPECT_EQ(at("D", 3), kMax);   // kMin - 1
+    EXPECT_EQ(at("P", 4), 0);      // 2^62 * 4
+    EXPECT_EQ(at("P", 7), 1);      // kMax * kMax
+    EXPECT_EQ(at("Q", 1), kMin);   // kMin / -1
+    EXPECT_EQ(at("R", 1), 0);      // kMin % -1
+    EXPECT_EQ(at("Q", 2), 0);      // division by zero
+    EXPECT_EQ(at("R", 2), 0);
+    EXPECT_EQ(at("Q", 5), -3);     // truncating division
+    EXPECT_EQ(at("R", 5), -1);
+    EXPECT_EQ(at("Q", 6), -1);
+    EXPECT_EQ(at("R", 6), 2);
+    EXPECT_EQ(at("N", 1), kMin);   // -kMin
+
+    const kisa::Program program = lower(k);
+    for (const kisa::ExecTier tier : kTiers) {
+        kisa::MemoryImage mem;
+        init(mem);
+        kisa::execute(program, mem, 1ull << 20, tier);
+        for (const Array &array : k.arrays)
+            for (std::int64_t i = 0; i < n; ++i) {
+                const Addr addr = array.base + Addr(i) * 8;
+                EXPECT_EQ(mem.ld64(addr), m_eval.ld64(addr))
+                    << array.name << "[" << i << "] on tier "
+                    << static_cast<int>(tier);
+            }
+    }
+}
+
+TEST(IntegerWrap, ImmediateFormsWrapOnBothTiers)
+{
+    kisa::AsmBuilder b("wrap-imm");
+    b.iLoadImm(1, kMax);
+    b.iAddImm(2, 1, 1);
+    b.iMulImm(3, 1, 2);
+    b.iLoadImm(4, kMin);
+    b.iAddImm(5, 4, -1);
+    b.iLoadImm(6, 0x1000);
+    b.stI(6, 0, 2);
+    b.stI(6, 8, 3);
+    b.stI(6, 16, 5);
+    b.halt();
+    const kisa::Program program = b.finish();
+    for (const kisa::ExecTier tier : kTiers) {
+        kisa::MemoryImage mem;
+        kisa::execute(program, mem, 1ull << 10, tier);
+        EXPECT_EQ(static_cast<std::int64_t>(mem.ld64(0x1000)), kMin);
+        EXPECT_EQ(static_cast<std::int64_t>(mem.ld64(0x1008)), -2);
+        EXPECT_EQ(static_cast<std::int64_t>(mem.ld64(0x1010)), kMax);
+    }
 }
 
 TEST(Codegen, StencilMatchesEvaluator)
