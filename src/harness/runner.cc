@@ -61,17 +61,6 @@ scaleConfig(sys::SystemConfig config, const workloads::Workload &workload)
         }
     }
 
-    // Sharded multiprocessor stepping: MPC_SHARDS=<k> runs k host
-    // threads per simulation (System::run clamps to the node count, so
-    // uniprocessor runs stay single-threaded). Results are bit-identical
-    // at any shard count; this is purely a host-speed knob, and — like
-    // the toggles above — it never enters configKey().
-    if (const char *env = std::getenv("MPC_SHARDS");
-        env != nullptr && env[0] != '\0') {
-        const long long shards = std::atoll(env);
-        if (shards > 0)
-            config.shards = static_cast<int>(std::min(shards, 64ll));
-    }
     return config;
 }
 
@@ -285,53 +274,28 @@ runWorkload(const workloads::Workload &workload, const RunSpec &spec)
     for (int ref_id : out.report.leadingRefIds)
         leading.insert(static_cast<std::uint32_t>(ref_id));
 
-    // The simulation tail, parameterized by the final configuration:
-    // a sharded run that throws ShardRestart (a same-cycle sharing
-    // pattern sharded stepping cannot reproduce bit-identically) is
-    // rebuilt from scratch — fresh image, programs, System — and rerun
-    // single-threaded, which is always exact.
-    auto simulate = [&](sys::SystemConfig cfg) {
-        // Provenance for every artifact this run emits: built from the
-        // final (transformed) kernel text and the scaled, env-applied
-        // configuration — including the shard count actually used —
-        // and handed to the System before construction so the
-        // sampler's time-series JSON can embed it.
-        out.manifestJson = makeRunManifest(workload.name,
-                                           out.kernelText, cfg, procs,
-                                           spec_string)
-                               .toJson();
-        cfg.manifestJson = out.manifestJson;
+    // Provenance for every artifact this run emits: built from the
+    // final (transformed) kernel text and the scaled, env-applied
+    // configuration, and handed to the System before construction so
+    // the sampler's time-series JSON can embed it.
+    out.manifestJson = makeRunManifest(workload.name, out.kernelText,
+                                       config, procs, spec_string)
+                           .toJson();
+    config.manifestJson = out.manifestJson;
 
-        auto programs = codegen::lowerForCores(kernel, procs,
-                                               transforming, leading);
+    auto programs = codegen::lowerForCores(kernel, procs, transforming,
+                                           leading);
 
-        kisa::MemoryImage image;
-        workload.init(image);
+    kisa::MemoryImage image;
+    workload.init(image);
 
-        coherence::PlacementPolicy placement(procs,
-                                             cfg.fabric.lineBytes);
-        if (workload.place)
-            workload.place(placement);
+    coherence::PlacementPolicy placement(procs, config.fabric.lineBytes);
+    if (workload.place)
+        workload.place(placement);
 
-        sys::System system(cfg, std::move(programs), image, &placement);
-        replayCompilerTrace(system, out.report);
-        out.result = system.run(spec.maxCycles);
-    };
-
-    if (config.shards > 1) {
-        try {
-            simulate(config);
-        } catch (const sys::ShardRestart &e) {
-            std::fprintf(stderr, "mpc: %s (%s%s/%dp)\n", e.what(),
-                         workload.name.c_str(),
-                         spec.clustered ? "/clust" : "/base", procs);
-            sys::SystemConfig serial = config;
-            serial.shards = 0;
-            simulate(serial);
-        }
-    } else {
-        simulate(config);
-    }
+    sys::System system(config, std::move(programs), image, &placement);
+    replayCompilerTrace(system, out.report);
+    out.result = system.run(spec.maxCycles);
     return out;
 }
 

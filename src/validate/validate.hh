@@ -212,8 +212,8 @@ class Validator
     std::unordered_set<std::uint64_t> inclusionSuspects_;
 
     std::vector<Failure> failures_;
-    /** recordFailure can race across shard workers under sharded
-     *  stepping (monitor hooks run on shard threads). */
+    /** Serializes recordFailure (failures_ and the shared tracer), so
+     *  a monitor hook may report a failure from any thread. */
     std::mutex failMu_;
     bool stopRequested_ = false;
     bool traceDumped_ = false;

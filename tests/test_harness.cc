@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -248,9 +250,19 @@ TEST(ParallelRunner, MultipleFailuresReportFirstAndCount)
             if (i % 2 == 0)
                 throw std::runtime_error("fault " + std::to_string(i));
         });
+    // An explicit MPC_JOBS sets the default worker count; values below
+    // one fall back to the hardware thread count.
+    ::setenv("MPC_JOBS", "0", 1);
+    EXPECT_EQ(ParallelRunner::defaultThreads(),
+              static_cast<int>(
+                  std::max(1u, std::thread::hardware_concurrency())));
+    ::setenv("MPC_JOBS", "1", 1);
+    const ParallelRunner runner;
+    ::unsetenv("MPC_JOBS");
     // Single-threaded so "first" is deterministic (job 0).
+    ASSERT_EQ(runner.threads(), 1);
     try {
-        ParallelRunner(1).run(jobs);
+        runner.run(jobs);
         FAIL() << "expected a throw";
     } catch (const std::runtime_error &e) {
         const std::string what = e.what();
@@ -699,39 +711,6 @@ TEST(PerRefStats, ProfileAgreesWithSimulatedMissRates)
             ++compared;
         });
     EXPECT_GE(compared, 1);
-}
-
-TEST(ParallelBudget, DividesHardwareByShards)
-{
-    // MPC_JOBS unset: the worker budget shares the machine with the
-    // per-simulation shard threads.
-    bool over = false;
-    EXPECT_EQ(ParallelRunner::budgetThreads(0, 0, 16, &over), 16);
-    EXPECT_EQ(ParallelRunner::budgetThreads(0, 1, 16, &over), 16);
-    EXPECT_EQ(ParallelRunner::budgetThreads(0, 4, 16, &over), 4);
-    EXPECT_EQ(ParallelRunner::budgetThreads(0, 8, 16, &over), 2);
-    EXPECT_FALSE(over);
-    // Never below one worker, even when shards exceed the machine.
-    EXPECT_EQ(ParallelRunner::budgetThreads(0, 32, 16, &over), 1);
-    EXPECT_FALSE(over);
-}
-
-TEST(ParallelBudget, ExplicitJobsWinsButFlagsOversubscription)
-{
-    bool over = true;
-    EXPECT_EQ(ParallelRunner::budgetThreads(4, 4, 16, &over), 4);
-    EXPECT_FALSE(over);
-
-    // 8 jobs x 4 shard threads = 32 > 16 hardware threads.
-    EXPECT_EQ(ParallelRunner::budgetThreads(8, 4, 16, &over), 8);
-    EXPECT_TRUE(over);
-
-    // Uniprocessor sims (shards <= 1) count one thread per job.
-    over = true;
-    EXPECT_EQ(ParallelRunner::budgetThreads(8, 0, 16, &over), 8);
-    EXPECT_FALSE(over);
-    EXPECT_EQ(ParallelRunner::budgetThreads(24, 1, 16, &over), 24);
-    EXPECT_TRUE(over);
 }
 
 } // namespace

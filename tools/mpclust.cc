@@ -10,9 +10,6 @@
  *
  *   --scale N        input scale 1..3 (default 2)
  *   --procs N        processor count (default: workload's, or 1)
- *   --shards K       step the simulation on K host threads (or set
- *                    MPC_SHARDS; results are bit-identical to the
- *                    single-thread stepper at any K)
  *   --config NAME    base | 1ghz | exemplar (default base)
  *   --base-only      run only the untransformed version
  *   --clust-only     run only the clustered version
@@ -64,7 +61,7 @@ namespace
 usage(const char *argv0)
 {
     std::fprintf(stderr,
-                 "usage: %s <workload> [--scale N] [--procs N] [--shards K] "
+                 "usage: %s <workload> [--scale N] [--procs N] "
                  "[--config base|1ghz|exemplar]\n"
                  "       [--base-only|--clust-only] [--prefetch N] "
                  "[--max-unroll N]\n"
@@ -121,7 +118,6 @@ main(int argc, char **argv)
     workloads::SizeParams size;
     size.scale = 2;
     int procs = -1;
-    int shards = 0;
     std::string config_name = "base";
     bool run_base = true, run_clust = true;
     int prefetch = 0;
@@ -144,8 +140,6 @@ main(int argc, char **argv)
             size.scale = std::atoi(next());
         else if (arg == "--procs")
             procs = std::atoi(next());
-        else if (arg == "--shards")
-            shards = std::atoi(next());
         else if (arg == "--config")
             config_name = next();
         else if (arg == "--base-only")
@@ -222,8 +216,6 @@ main(int argc, char **argv)
     else
         usage(argv[0]);
     spec.procs = procs;
-    if (shards > 0)
-        spec.config.shards = shards;
     spec.maxUnroll = max_unroll;
     spec.config.obsMetrics = show_metrics;
     spec.config.obsTracePath = trace_path;
