@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <new>
 #include <random>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -32,6 +33,7 @@
 namespace
 {
 std::uint64_t g_heapAllocs = 0;
+std::uint64_t g_heapFrees = 0;
 }
 
 // GCC pairs the default operator new contract with std::free and warns
@@ -58,25 +60,27 @@ operator new[](std::size_t size)
 void
 operator delete(void *p) noexcept
 {
+    if (p != nullptr)
+        ++g_heapFrees;
     std::free(p);
 }
 
 void
 operator delete[](void *p) noexcept
 {
-    std::free(p);
+    ::operator delete(p);
 }
 
 void
 operator delete(void *p, std::size_t) noexcept
 {
-    std::free(p);
+    ::operator delete(p);
 }
 
 void
 operator delete[](void *p, std::size_t) noexcept
 {
-    std::free(p);
+    ::operator delete(p);
 }
 
 namespace mpc
@@ -198,6 +202,33 @@ TEST(Continuation, ResetReleasesThePoolBlock)
     fn.reset();
     EXPECT_FALSE(static_cast<bool>(fn));
     EXPECT_EQ(Continuation::poolCounters().blocksInUse, before);
+}
+
+TEST(Continuation, ExitingThreadFreesItsPoolChunks)
+{
+    // A thread's pool owns the chunks it allocated and frees them when
+    // the thread exits: a worker that makes and drops pooled captures
+    // leaves no live heap allocation behind (nor a leak report in a
+    // LeakSanitizer build).
+    using detail::ContinuationPool;
+    std::uint64_t sum = 0;
+    std::uint64_t chunks = 0;
+    const std::uint64_t live_before = g_heapAllocs - g_heapFrees;
+    std::thread worker([&sum, &chunks] {
+        {
+            std::vector<Continuation> held;
+            for (std::size_t i = 0;
+                 i < 2 * ContinuationPool::blocksPerChunk; ++i)
+                held.emplace_back(BigCapture{{1, 0, 0, 0}, &sum});
+            for (auto &fn : held)
+                fn(1);
+        }
+        chunks = Continuation::poolCounters().chunkAllocs;
+    });
+    worker.join();
+    EXPECT_EQ(sum, 4 * ContinuationPool::blocksPerChunk);
+    EXPECT_GE(chunks, 2u);
+    EXPECT_EQ(g_heapAllocs - g_heapFrees, live_before);
 }
 
 // ---------------------------------------------------------------------
