@@ -25,6 +25,8 @@
 #include "harness/store.hh"
 #include "workloads/workload.hh"
 
+#include "store_env.hh"
+
 namespace mpc::harness
 {
 namespace
@@ -56,6 +58,8 @@ pairJobs()
 
 TEST(RunStoredWorkload, WarmRunServesIdenticalCounters)
 {
+    // The assertions below need store hits (see store_env.hh).
+    const test::StoreEnvGuard store_env;
     ResultStore store(freshDir("job_warm"));
     const workloads::SizeParams size{.scale = 1};
     const workloads::Workload w = workloads::makeLatbench(size);
@@ -121,6 +125,8 @@ TEST(ParseJobStream, AcceptsJsonlWithCommentsAndNamesBadLines)
 
 TEST(Farm, InProcessColdThenWarmIsByteIdenticalWithZeroResim)
 {
+    // The assertions below need store hits (see store_env.hh).
+    const test::StoreEnvGuard store_env;
     ResultStore store(freshDir("farm_warm"));
     const std::vector<Job> jobs = pairJobs();
     FarmOptions opts;
@@ -143,6 +149,8 @@ TEST(Farm, InProcessColdThenWarmIsByteIdenticalWithZeroResim)
 
 TEST(Farm, KilledSweepResumesFromStoreWithIdenticalOutput)
 {
+    // The assertions below need store hits (see store_env.hh).
+    const test::StoreEnvGuard store_env;
     ResultStore store(freshDir("farm_resume"));
     const std::vector<Job> jobs = pairJobs();
 
@@ -174,6 +182,8 @@ TEST(Farm, KilledSweepResumesFromStoreWithIdenticalOutput)
 
 TEST(Farm, SubprocessWorkersProduceTheSameReportAsInProcess)
 {
+    // The assertions below need store hits (see store_env.hh).
+    const test::StoreEnvGuard store_env;
     ResultStore store(freshDir("farm_subproc"));
     const std::vector<Job> jobs = pairJobs();
     FarmOptions opts;

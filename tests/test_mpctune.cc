@@ -22,6 +22,8 @@
 #include "transform/pipeline.hh"
 #include "workloads/workload.hh"
 
+#include "store_env.hh"
+
 namespace mpc::harness
 {
 namespace
@@ -153,6 +155,8 @@ TEST(Tune, RepeatedTunesAreDeterministic)
 
 TEST(Tune, WarmCacheServesEveryMeasurementWithIdenticalReport)
 {
+    // The assertions below need store hits (see store_env.hh).
+    const test::StoreEnvGuard store_env;
     const workloads::Workload w = workloads::makeEm3d(tinySize());
     TuneOptions opts = uniOptions();
     opts.cacheDir = testing::TempDir() + "mpctune_cache";
@@ -174,6 +178,8 @@ TEST(Tune, WarmCacheServesEveryMeasurementWithIdenticalReport)
 
 TEST(Tune, StoreEntriesCarryByteStableManifestProvenance)
 {
+    // The assertions below need store hits (see store_env.hh).
+    const test::StoreEnvGuard store_env;
     const workloads::Workload w = workloads::makeEm3d(tinySize());
     TuneOptions opts = uniOptions();
     opts.cacheDir = testing::TempDir() + "mpctune_manifest_cache";
@@ -210,6 +216,8 @@ TEST(Tune, StoreEntriesCarryByteStableManifestProvenance)
 
 TEST(Tune, CorruptedStoreEntryIsQuarantinedAndRepairedNotFatal)
 {
+    // The assertions below need store hits (see store_env.hh).
+    const test::StoreEnvGuard store_env;
     // Satellite regression: a truncated or hand-edited cache entry
     // used to reach the JSON parser unguarded. Under ResultStore it
     // must read as a miss, get quarantined, and be re-simulated —
