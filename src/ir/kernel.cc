@@ -59,8 +59,11 @@ Expr::toString() const
         return var;
       case Kind::ArrayRef: {
         std::string s = array->name;
-        for (const auto &sub : children)
-            s += "[" + sub->toString() + "]";
+        for (const auto &sub : children) {
+            s += '[';
+            s += sub->toString();
+            s += ']';
+        }
         return s;
       }
       case Kind::Deref:

@@ -601,12 +601,18 @@ insertPrefetches(Kernel &kernel, int distance_lines, int line_bytes)
                 return;
             // Bucket by array + shape + line-rounded constant so the
             // members of one spatial group share one prefetch.
-            std::string key = e.array->name + "#";
-            for (const auto &[v, coef] : form->coefs)
-                if (coef != 0)
-                    key += v + ":" + std::to_string(coef) + ";";
-            key += "@" + std::to_string((form->c * 8) /
-                                        (line_bytes * 2));
+            std::string key = e.array->name;
+            key += '#';
+            for (const auto &[v, coef] : form->coefs) {
+                if (coef == 0)
+                    continue;
+                key += v;
+                key += ':';
+                key += std::to_string(coef);
+                key += ';';
+            }
+            key += '@';
+            key += std::to_string((form->c * 8) / (line_bytes * 2));
             if (seen.insert(key).second)
                 streams.push_back({&e, stride});
         };
