@@ -58,7 +58,6 @@ pairJobs()
 
 TEST(RunStoredWorkload, WarmRunServesIdenticalCounters)
 {
-    // The assertions below need store hits (see store_env.hh).
     const test::StoreEnvGuard store_env;
     ResultStore store(freshDir("job_warm"));
     const workloads::SizeParams size{.scale = 1};
@@ -125,7 +124,6 @@ TEST(ParseJobStream, AcceptsJsonlWithCommentsAndNamesBadLines)
 
 TEST(Farm, InProcessColdThenWarmIsByteIdenticalWithZeroResim)
 {
-    // The assertions below need store hits (see store_env.hh).
     const test::StoreEnvGuard store_env;
     ResultStore store(freshDir("farm_warm"));
     const std::vector<Job> jobs = pairJobs();
@@ -149,7 +147,6 @@ TEST(Farm, InProcessColdThenWarmIsByteIdenticalWithZeroResim)
 
 TEST(Farm, KilledSweepResumesFromStoreWithIdenticalOutput)
 {
-    // The assertions below need store hits (see store_env.hh).
     const test::StoreEnvGuard store_env;
     ResultStore store(freshDir("farm_resume"));
     const std::vector<Job> jobs = pairJobs();
@@ -182,7 +179,6 @@ TEST(Farm, KilledSweepResumesFromStoreWithIdenticalOutput)
 
 TEST(Farm, SubprocessWorkersProduceTheSameReportAsInProcess)
 {
-    // The assertions below need store hits (see store_env.hh).
     const test::StoreEnvGuard store_env;
     ResultStore store(freshDir("farm_subproc"));
     const std::vector<Job> jobs = pairJobs();

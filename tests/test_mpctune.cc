@@ -155,7 +155,6 @@ TEST(Tune, RepeatedTunesAreDeterministic)
 
 TEST(Tune, WarmCacheServesEveryMeasurementWithIdenticalReport)
 {
-    // The assertions below need store hits (see store_env.hh).
     const test::StoreEnvGuard store_env;
     const workloads::Workload w = workloads::makeEm3d(tinySize());
     TuneOptions opts = uniOptions();
@@ -178,7 +177,6 @@ TEST(Tune, WarmCacheServesEveryMeasurementWithIdenticalReport)
 
 TEST(Tune, StoreEntriesCarryByteStableManifestProvenance)
 {
-    // The assertions below need store hits (see store_env.hh).
     const test::StoreEnvGuard store_env;
     const workloads::Workload w = workloads::makeEm3d(tinySize());
     TuneOptions opts = uniOptions();
@@ -216,7 +214,6 @@ TEST(Tune, StoreEntriesCarryByteStableManifestProvenance)
 
 TEST(Tune, CorruptedStoreEntryIsQuarantinedAndRepairedNotFatal)
 {
-    // The assertions below need store hits (see store_env.hh).
     const test::StoreEnvGuard store_env;
     // Satellite regression: a truncated or hand-edited cache entry
     // used to reach the JSON parser unguarded. Under ResultStore it
