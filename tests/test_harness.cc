@@ -250,19 +250,9 @@ TEST(ParallelRunner, MultipleFailuresReportFirstAndCount)
             if (i % 2 == 0)
                 throw std::runtime_error("fault " + std::to_string(i));
         });
-    // An explicit MPC_JOBS sets the default worker count; values below
-    // one fall back to the hardware thread count.
-    ::setenv("MPC_JOBS", "0", 1);
-    EXPECT_EQ(ParallelRunner::defaultThreads(),
-              static_cast<int>(
-                  std::max(1u, std::thread::hardware_concurrency())));
-    ::setenv("MPC_JOBS", "1", 1);
-    const ParallelRunner runner;
-    ::unsetenv("MPC_JOBS");
     // Single-threaded so "first" is deterministic (job 0).
-    ASSERT_EQ(runner.threads(), 1);
     try {
-        runner.run(jobs);
+        ParallelRunner(1).run(jobs);
         FAIL() << "expected a throw";
     } catch (const std::runtime_error &e) {
         const std::string what = e.what();
@@ -711,6 +701,31 @@ TEST(PerRefStats, ProfileAgreesWithSimulatedMissRates)
             ++compared;
         });
     EXPECT_GE(compared, 1);
+}
+
+TEST(ParallelBudget, ExplicitJobsWinsButFlagsOversubscription)
+{
+    // Each sim is single-threaded, so MPC_JOBS is the whole host-thread
+    // demand: an explicit value is taken as asked, even above the
+    // hardware count, and nothing is left to flag. Values below one
+    // fall back to the hardware thread count.
+    const char *prev = std::getenv("MPC_JOBS");
+    const std::string saved = prev != nullptr ? prev : "";
+    const int hw =
+        static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+
+    ::setenv("MPC_JOBS", "1", 1);
+    EXPECT_EQ(ParallelRunner::defaultThreads(), 1);
+    EXPECT_EQ(ParallelRunner().threads(), 1);
+    ::setenv("MPC_JOBS", std::to_string(hw * 2).c_str(), 1);
+    EXPECT_EQ(ParallelRunner::defaultThreads(), hw * 2);
+    ::setenv("MPC_JOBS", "0", 1);
+    EXPECT_EQ(ParallelRunner::defaultThreads(), hw);
+    ::unsetenv("MPC_JOBS");
+    EXPECT_EQ(ParallelRunner::defaultThreads(), hw);
+
+    if (prev != nullptr)
+        ::setenv("MPC_JOBS", saved.c_str(), 1);
 }
 
 } // namespace
